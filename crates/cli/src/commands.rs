@@ -547,61 +547,31 @@ fn log_compact(dir: &std::path::Path, out: &mut dyn Write) -> Result<(), CliErro
 }
 
 /// Rebuilds the simulation recorded in a store directory and folds its
-/// report. An events log replays verbatim; a journal re-drives the
-/// recorded requests through the scheduler (the daemon's recovery path)
-/// and then drains the queue, reporting what a `Finish` at the log's
-/// end would have.
+/// report. An events log replays verbatim into the realized runtime; a
+/// journal re-drives the recorded requests through a run (the daemon's
+/// recovery path) and finishes it, reporting what a `Finish` at the
+/// log's end would have.
 fn log_replay(dir: &std::path::Path, out: &mut dyn Write) -> Result<(), CliError> {
-    use dosn_daemon::decode_spec;
-    use dosn_node::{
-        model_schedules, place_replicas, trace_span_days, EventQueue, InstantTransport,
-        NodeRuntime,
-    };
-    use dosn_store::{read_header, replay_into, scan_with, LogKind};
+    use dosn_store::{read_header, redrive_into, replay_into, LogKind};
     let (kind, meta) = read_header(dir).map_err(store_err)?;
-    let spec = decode_spec(&meta)
+    let spec = dosn_daemon::decode_spec(&meta)
         .map_err(|e| CliError::Store(format!("log header spec invalid: {e}")))?;
     let ds = spec
         .synthesize()
         .map_err(|e| CliError::Store(format!("cannot realize logged spec: {e}")))?;
-    let config = spec.study_config();
-    let schedules = model_schedules(&ds, spec.model, &config);
-    let placements = place_replicas(
-        &ds,
-        &schedules,
-        spec.policy,
-        spec.replication_degree as usize,
-        &config,
-    );
-    let activities = ds.activities();
-    let transport = InstantTransport;
-    let mut runtime = NodeRuntime::new(
-        &schedules,
-        &placements,
-        activities,
-        &transport,
-        spec.dissemination,
-    );
-    let records = match kind {
-        LogKind::Events => replay_into(dir, &mut runtime).map_err(store_err)?.records,
+    let realized = spec.realize(&ds);
+    let (records, report) = match kind {
+        LogKind::Events => {
+            let mut runtime = realized.runtime();
+            let scanned = replay_into(dir, &mut runtime).map_err(store_err)?;
+            (scanned.records, runtime.into_report())
+        }
         LogKind::Journal => {
-            let span_days = trace_span_days(activities);
-            let mut queue = EventQueue::new().with_sessions(&schedules, 0..span_days);
-            let scanned = scan_with(dir, |_, rec| {
-                let ev = rec.scheduled();
-                while let Some(due) = queue.pop_before(&ev) {
-                    runtime.handle(due, &mut queue);
-                }
-                runtime.handle(ev, &mut queue);
-            })
-            .map_err(store_err)?;
-            while let Some(due) = queue.pop() {
-                runtime.handle(due, &mut queue);
-            }
-            scanned.records
+            let mut run = realized.start();
+            let scanned = redrive_into(dir, &mut run).map_err(store_err)?;
+            (scanned.records, run.finish().0)
         }
     };
-    let report = runtime.into_report();
     let medium = medium_suffix(spec.dissemination);
     writeln!(
         out,

@@ -13,8 +13,8 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use dosn_core::timing::Stopwatch;
-use dosn_node::{draw_profile_reads, model_schedules, trace_span_days, Event, ScheduledEvent, SystemReport};
-use dosn_trace::{Activity, Dataset};
+use dosn_node::{model_schedules, request_stream, trace_span_days, ScheduledEvent, SystemReport};
+use dosn_trace::Dataset;
 
 use crate::codec::{decode_response, encode_request, read_frame, write_frame, WireError};
 use crate::protocol::{Request, Response, SimSpec, PROTOCOL_VERSION};
@@ -194,51 +194,23 @@ pub fn drive(
     spec: &SimSpec,
     reads_per_friend_day: f64,
 ) -> Result<DriveOutcome, ClientError> {
-    let (dataset, stream) = request_stream(spec, reads_per_friend_day)?;
-    let activities = dataset.activities();
-
-    let mut client = DaemonClient::connect(socket)?;
-    let recovered = open_session(&mut client, spec, &dataset)?;
-    let Some(remainder) = stream.get(recovered as usize..) else {
-        return Err(ClientError::Protocol(format!(
-            "daemon recovered {recovered} requests from its journal, but the driver's \
-             stream holds only {} — spec or journal drift",
-            stream.len()
-        )));
-    };
-
-    let mut latencies: Vec<f64> = Vec::with_capacity(remainder.len());
-    let mut posts_delivered_live = 0u64;
-    let mut reads_served_live = 0u64;
-    let total = Stopwatch::start();
-    for ev in remainder {
-        let request = event_request(ev, activities)?;
-        let rtt = Stopwatch::start();
-        let response = client.request(&request)?;
-        latencies.push(rtt.elapsed_secs());
-        match response {
-            Response::PostAck { delivered } => posts_delivered_live += u64::from(delivered),
-            Response::ReadAck { served } => reads_served_live += u64::from(served),
-            other => return Err(unexpected("PostAck/ReadAck", &other)),
-        }
-    }
-    let elapsed_secs = total.elapsed_secs();
-
+    let (mut client, mut sent) = send_stream(socket, spec, reads_per_friend_day, u64::MAX)?;
     let report = match client.request(&Request::Finish)? {
         Response::Report(parts) => parts.into_report(),
         other => return Err(unexpected("Report", &other)),
     };
-    let requests = latencies.len() as u64;
-    let req_per_s = if elapsed_secs > 0.0 { requests as f64 / elapsed_secs } else { 0.0 };
+    let requests = sent.latencies.len() as u64;
+    let req_per_s =
+        if sent.elapsed_secs > 0.0 { requests as f64 / sent.elapsed_secs } else { 0.0 };
     Ok(DriveOutcome {
         report,
-        recovered,
+        recovered: sent.recovered,
         requests,
-        posts_delivered_live,
-        reads_served_live,
-        elapsed_secs,
+        posts_delivered_live: sent.posts_delivered,
+        reads_served_live: sent.reads_served,
+        elapsed_secs: sent.elapsed_secs,
         req_per_s,
-        latency: LatencyStats::from_latencies_secs(&mut latencies),
+        latency: LatencyStats::from_latencies_secs(&mut sent.latencies),
     })
 }
 
@@ -258,9 +230,32 @@ pub fn drive_prefix(
     reads_per_friend_day: f64,
     max_requests: u64,
 ) -> Result<u64, ClientError> {
-    let (dataset, stream) = request_stream(spec, reads_per_friend_day)?;
-    let activities = dataset.activities();
+    let (_client, sent) = send_stream(socket, spec, reads_per_friend_day, max_requests)?;
+    // Dropping the client here abandons the session mid-stream; with a
+    // journaling daemon, everything acknowledged above is durable.
+    Ok(sent.recovered + sent.latencies.len() as u64)
+}
 
+/// What the request stream of one drive produced, before any `Finish`.
+struct Sent {
+    recovered: u64,
+    posts_delivered: u64,
+    reads_served: u64,
+    elapsed_secs: f64,
+    /// One round trip per acknowledged request, seconds.
+    latencies: Vec<f64>,
+}
+
+/// The body both drives share: realize the stream, open the session,
+/// skip the prefix the daemon recovered from its journal, and send at
+/// most `max_requests` of the remainder, one round trip each.
+fn send_stream(
+    socket: &Path,
+    spec: &SimSpec,
+    reads_per_friend_day: f64,
+    max_requests: u64,
+) -> Result<(DaemonClient, Sent), ClientError> {
+    let (dataset, stream) = driver_stream(spec, reads_per_friend_day)?;
     let mut client = DaemonClient::connect(socket)?;
     let recovered = open_session(&mut client, spec, &dataset)?;
     let Some(remainder) = stream.get(recovered as usize..) else {
@@ -270,25 +265,34 @@ pub fn drive_prefix(
             stream.len()
         )));
     };
-
-    let mut sent = 0u64;
-    for ev in remainder.iter().take(max_requests.min(usize::MAX as u64) as usize) {
-        let request = event_request(ev, activities)?;
-        match client.request(&request)? {
-            Response::PostAck { .. } | Response::ReadAck { .. } => sent += 1,
+    let take = max_requests.min(remainder.len() as u64) as usize;
+    let mut sent = Sent {
+        recovered,
+        posts_delivered: 0,
+        reads_served: 0,
+        elapsed_secs: 0.0,
+        latencies: Vec::with_capacity(take),
+    };
+    let total = Stopwatch::start();
+    for ev in remainder.iter().take(take) {
+        let request = Request::from_event(ev, dataset.activities()).map_err(ClientError::Protocol)?;
+        let rtt = Stopwatch::start();
+        let response = client.request(&request)?;
+        sent.latencies.push(rtt.elapsed_secs());
+        match response {
+            Response::PostAck { delivered } => sent.posts_delivered += u64::from(delivered),
+            Response::ReadAck { served } => sent.reads_served += u64::from(served),
             other => return Err(unexpected("PostAck/ReadAck", &other)),
         }
     }
-    // Dropping the client here abandons the session mid-stream; with a
-    // journaling daemon, everything acknowledged above is durable.
-    Ok(recovered + sent)
+    sent.elapsed_secs = total.elapsed_secs();
+    Ok((client, sent))
 }
 
 /// Rebuilds the driver-side view of `spec`: the dataset plus the batch
-/// scheduler's two static request streams, merged into one send order
-/// by the queue key. Sequence numbers ride along so the daemon
-/// reconstructs the identical total order.
-fn request_stream(
+/// run's own request stream, whose keys ride along with each request so
+/// the daemon reconstructs the identical total order.
+fn driver_stream(
     spec: &SimSpec,
     reads_per_friend_day: f64,
 ) -> Result<(Dataset, Vec<ScheduledEvent>), ClientError> {
@@ -298,27 +302,8 @@ fn request_stream(
     let config = spec.study_config();
     let schedules = model_schedules(&dataset, spec.model, &config);
     let span_days = trace_span_days(dataset.activities());
-
-    let mut stream: Vec<ScheduledEvent> = dataset
-        .activities()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            ScheduledEvent::new(
-                a.timestamp(),
-                i as u64,
-                Event::Post { activity: i.min(u32::MAX as usize) as u32 },
-            )
-        })
-        .collect();
-    stream.extend(draw_profile_reads(
-        &dataset,
-        &schedules,
-        span_days,
-        reads_per_friend_day.max(0.0),
-        &config,
-    ));
-    stream.sort_unstable();
+    let stream =
+        request_stream(&dataset, &schedules, span_days, reads_per_friend_day.max(0.0), &config);
     Ok((dataset, stream))
 }
 
@@ -343,34 +328,6 @@ fn open_session(
             Ok(recovered)
         }
         other => Err(unexpected("Opened", &other)),
-    }
-}
-
-/// Translates one stream entry into its wire request.
-fn event_request(ev: &ScheduledEvent, activities: &[Activity]) -> Result<Request, ClientError> {
-    match ev.event {
-        Event::Post { activity } => {
-            let Some(&a) = activities.get(activity as usize) else {
-                return Err(ClientError::Protocol(format!(
-                    "request stream names post {activity} outside the trace"
-                )));
-            };
-            Ok(Request::Post {
-                index: activity,
-                creator: a.creator().as_u32(),
-                receiver: a.receiver().as_u32(),
-                at_secs: a.timestamp().as_secs(),
-            })
-        }
-        Event::ProfileRead { owner, reader } => Ok(Request::Read {
-            seq: ev.seq(),
-            owner: owner.as_u32(),
-            reader: reader.as_u32(),
-            at_secs: ev.at.as_secs(),
-        }),
-        other => Err(ClientError::Protocol(format!(
-            "request stream holds a non-request event {other:?}"
-        ))),
     }
 }
 

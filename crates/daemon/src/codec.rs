@@ -11,6 +11,7 @@
 use std::io::{self, Read, Write};
 
 use dosn_core::{ModelKind, PolicyKind};
+use dosn_interval::le::{Dec, DecodeError, Enc, MAX_FIELD_BYTES};
 use dosn_node::DisseminationMode;
 
 use crate::protocol::{
@@ -20,7 +21,7 @@ use crate::protocol::{
 /// Hard cap on one frame's payload, generous for every protocol frame
 /// (the largest — `Report` — is under 200 bytes; `Error` carries a
 /// short message). Anything larger is a corrupt or hostile stream.
-pub const MAX_FRAME_BYTES: usize = 16 * 1024;
+pub const MAX_FRAME_BYTES: usize = MAX_FIELD_BYTES;
 
 /// A malformed frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,110 +69,19 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::BadValue { field } => WireError::BadValue { field },
+            DecodeError::TrailingBytes { extra } => WireError::TrailingBytes { extra },
+        }
+    }
+}
+
 impl From<WireError> for io::Error {
     fn from(e: WireError) -> Self {
         io::Error::new(io::ErrorKind::InvalidData, e)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Primitive writers/readers
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new(tag: u8) -> Self {
-        Enc { buf: vec![tag] }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        let len = s.len().min(u32::MAX as usize);
-        self.u32(len as u32);
-        self.buf.extend(s.as_bytes().iter().take(len));
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        self.take(1)?.first().copied().ok_or(WireError::Truncated)
-    }
-
-    fn bool(&mut self, field: &'static str) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::BadValue { field }),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(b);
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self, field: &'static str) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(WireError::Truncated);
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadValue { field })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes { extra: self.buf.len() })
-        }
     }
 }
 
@@ -315,7 +225,7 @@ fn dec_spec(d: &mut Dec<'_>) -> Result<SimSpec, WireError> {
 /// belongs to the session being opened.
 pub fn encode_spec(spec: &SimSpec) -> Vec<u8> {
     // Reuse the Open frame's field layout, minus its frame tag.
-    let mut e = Enc { buf: Vec::new() };
+    let mut e = Enc::default();
     enc_spec(&mut e, spec);
     e.buf
 }
@@ -327,7 +237,7 @@ pub fn encode_spec(spec: &SimSpec) -> Vec<u8> {
 /// Any [`WireError`]: the payload must parse completely with no bytes
 /// to spare.
 pub fn decode_spec(payload: &[u8]) -> Result<SimSpec, WireError> {
-    let mut d = Dec { buf: payload };
+    let mut d = Dec::new(payload);
     let spec = dec_spec(&mut d)?;
     d.finish()?;
     Ok(spec)
@@ -378,7 +288,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Any [`WireError`]: the payload must parse completely with no bytes
 /// to spare.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut d = Dec { buf: payload };
+    let mut d = Dec::new(payload);
     let req = match d.u8()? {
         0 => Request::Hello { version: d.u32()? },
         1 => Request::Open(dec_spec(&mut d)?),
@@ -458,7 +368,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Any [`WireError`]: the payload must parse completely with no bytes
 /// to spare.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut d = Dec { buf: payload };
+    let mut d = Dec::new(payload);
     let resp = match d.u8()? {
         0 => Response::Welcome { version: d.u32()? },
         1 => Response::Opened {

@@ -17,8 +17,8 @@
 //!   strict bounds checking (truncated, oversized, and trailing-byte
 //!   frames are rejected, never panicked on).
 //! * [`server`] / [`session`] — the accept loop and the per-connection
-//!   state machine. Each session owns a full simulation (schedules,
-//!   placements, event queue, node runtime) on its own thread.
+//!   state machine. Each session owns a full simulation (the realized
+//!   inputs and the run stepped from them) on its own thread.
 //! * [`client`] — the typed client and the trace driver used by
 //!   `dosn drive` and the daemon benchmark.
 //! * [`shutdown`] — pid-file handling plus SIGTERM/SIGINT flags; the
@@ -26,9 +26,8 @@
 //!   registrations.
 //!
 //! The simulation core stays synchronous and daemon-free: this crate
-//! only feeds the same [`dosn_node::EventQueue`] the batch facade uses,
-//! one request at a time, via
-//! [`EventQueue::pop_before`](dosn_node::EventQueue::pop_before).
+//! only steps the same [`dosn_node::SimRun`] the batch facade steps,
+//! one request at a time.
 //!
 //! With a store directory configured ([`ServerConfig::store`]), each
 //! opened session journals its validated requests write-ahead into a

@@ -19,10 +19,14 @@
 //! is unambiguous).
 
 use dosn_core::{ModelKind, PolicyKind, StudyConfig};
+use dosn_interval::Timestamp;
 use dosn_metrics::Summary;
-use dosn_node::{DisseminationMode, NodeAccounting, SystemReport};
+use dosn_node::{
+    DisseminationMode, Event, NodeAccounting, Realized, ScheduledEvent, SystemReport,
+};
 use dosn_replication::Connectivity;
-use dosn_trace::{synth, Dataset, TraceError};
+use dosn_socialgraph::UserId;
+use dosn_trace::{synth, Activity, Dataset, TraceError};
 
 /// Protocol revision; a `Hello` with any other version is refused.
 /// Version 2 added the `recovered` count to [`Response::Opened`] (the
@@ -87,6 +91,20 @@ impl SimSpec {
         }
         config
     }
+
+    /// Realizes the simulation's inputs over `dataset` (the spec's own
+    /// [`synthesize`](Self::synthesize)d one): schedules, placements and
+    /// the compiled trace, ready to start runs from.
+    pub fn realize(&self, dataset: &Dataset) -> Realized {
+        Realized::new(
+            dataset,
+            self.model,
+            self.policy,
+            self.replication_degree as usize,
+            self.dissemination,
+            &self.study_config(),
+        )
+    }
 }
 
 /// A client-to-daemon frame.
@@ -129,6 +147,77 @@ pub enum Request {
     Ping,
     /// Asks the daemon to shut down gracefully.
     Shutdown,
+}
+
+impl Request {
+    /// The wire request of one request-stream event (driver side).
+    ///
+    /// # Errors
+    ///
+    /// A post index outside `activities`, or an event that is not a
+    /// `Post`/`ProfileRead`.
+    pub fn from_event(ev: &ScheduledEvent, activities: &[Activity]) -> Result<Request, String> {
+        match ev.event {
+            Event::Post { activity } => {
+                let Some(a) = activities.get(activity as usize) else {
+                    return Err(format!("request stream names post {activity} outside the trace"));
+                };
+                Ok(Request::Post {
+                    index: activity,
+                    creator: a.creator().as_u32(),
+                    receiver: a.receiver().as_u32(),
+                    at_secs: a.timestamp().as_secs(),
+                })
+            }
+            Event::ProfileRead { owner, reader } => Ok(Request::Read {
+                seq: ev.seq(),
+                owner: owner.as_u32(),
+                reader: reader.as_u32(),
+                at_secs: ev.at.as_secs(),
+            }),
+            other => Err(format!("request stream holds a non-request event {other:?}")),
+        }
+    }
+
+    /// The scheduler event of a `Post`/`Read` request, checked against
+    /// the realized trace (daemon side): the inverse of
+    /// [`from_event`](Self::from_event), so the key the batch scheduler
+    /// would have used is reconstructed exactly.
+    ///
+    /// # Errors
+    ///
+    /// A post that does not match `activities`, a read naming a user
+    /// outside `0..users`, or any other request kind.
+    pub fn to_event(&self, activities: &[Activity], users: usize) -> Result<ScheduledEvent, String> {
+        match *self {
+            Request::Post { index, creator, receiver, at_secs } => {
+                let matches = activities.get(index as usize).is_some_and(|a| {
+                    a.creator().as_u32() == creator
+                        && a.receiver().as_u32() == receiver
+                        && a.timestamp().as_secs() == at_secs
+                });
+                if !matches {
+                    return Err(format!("post {index} does not match the synthesized trace"));
+                }
+                Ok(ScheduledEvent::new(
+                    Timestamp::new(at_secs),
+                    u64::from(index),
+                    Event::Post { activity: index },
+                ))
+            }
+            Request::Read { seq, owner, reader, at_secs } => {
+                if owner as usize >= users || reader as usize >= users {
+                    return Err(format!("read names user {owner}/{reader} outside the dataset"));
+                }
+                Ok(ScheduledEvent::new(
+                    Timestamp::new(at_secs),
+                    seq,
+                    Event::ProfileRead { owner: UserId::new(owner), reader: UserId::new(reader) },
+                ))
+            }
+            _ => Err("only Post and Read carry a scheduler key".to_string()),
+        }
+    }
 }
 
 /// The raw accumulator state of one [`Summary`], in wire form.

@@ -1,19 +1,17 @@
-//! The per-connection state machine: handshake, one simulation per
-//! `Open`, and the incremental event-loop advance that keeps the live
-//! replay byte-identical to the batch run.
+//! The per-connection state machine: handshake, then one simulation
+//! per `Open`, stepped one request at a time.
 //!
-//! A session thread owns its whole simulation — dataset, schedules,
-//! placements, event queue, node runtime — on its stack. Each `Post` or
-//! `Read` request carries the `(time, seq)` scheduler key the batch
-//! pipeline would have assigned; the session first drains every queued
-//! event that orders strictly before that key
-//! ([`EventQueue::pop_before`]), then feeds the request event itself,
-//! so the state machine consumes the exact event sequence the batch
-//! facade's `pop` loop would have. Request events rank after
-//! same-instant session/delivery events by class, so no tie is ever
-//! ambiguous. `Finish` drains the remainder and folds the report.
-//!
-//! [`EventQueue::pop_before`]: dosn_node::EventQueue::pop_before
+//! A session thread owns its whole simulation on its stack: the
+//! realized inputs ([`SimSpec::realize`]) and the run started from them.
+//! Each `Post` or `Read` request carries the `(time, seq)` scheduler key
+//! the batch pipeline would have assigned; the session converts it back
+//! into the scheduler event ([`Request::to_event`]) and hands it to
+//! [`SimRun::step`] — the same step the batch run takes — which drains
+//! every queued event ordering strictly before the key, applies the
+//! request, and returns the verdict the ack carries. Keys must arrive
+//! strictly increasing: a duplicate or reordered request is answered
+//! with `Error` before it reaches the journal or the run. `Finish`
+//! drains the remainder and folds the report.
 
 use std::io::{self, Read};
 use std::os::unix::net::UnixStream;
@@ -21,13 +19,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dosn_interval::Timestamp;
-use dosn_node::{
-    model_schedules, place_replicas, trace_span_days, Event, EventQueue, InstantTransport,
-    NodeRuntime, ScheduledEvent,
-};
-use dosn_socialgraph::UserId;
-use dosn_store::{log_exists, read_header, scan_with, LogKind, LogWriter};
+use dosn_node::{Event, Realized, SimRun};
+use dosn_store::{log_exists, read_header, redrive_into, LogKind, LogWriter};
 
 use crate::codec::{
     decode_request, decode_spec, encode_response, encode_spec, write_frame, MAX_FRAME_BYTES,
@@ -114,18 +107,17 @@ pub fn serve(
 ///
 /// An existing log must be a journal whose header metadata decodes to
 /// exactly the spec being opened; its records are then re-driven
-/// through the event queue — the same `pop_before` interleaving the
-/// live path uses — so the runtime resumes in precisely the state it
-/// had when the previous daemon stopped. Any torn tail frame left by a
-/// crash is truncated before the re-drive.
+/// through `run` — the same `step` the live path takes — so the runtime
+/// resumes in precisely the state it had when the previous daemon
+/// stopped. Any torn tail frame left by a crash is truncated before the
+/// re-drive.
 ///
 /// Returns the appendable writer and how many requests were recovered;
 /// a refusal reason otherwise.
 fn open_journal(
     dir: &Path,
     spec: &SimSpec,
-    queue: &mut EventQueue<'_>,
-    runtime: &mut NodeRuntime<'_>,
+    run: &mut SimRun<'_>,
 ) -> Result<(LogWriter, u64), String> {
     if !log_exists(dir) {
         let writer = LogWriter::create(dir, LogKind::Journal, &encode_spec(spec))
@@ -145,15 +137,33 @@ fn open_journal(
     // Truncate any torn tail, then re-drive the surviving records.
     let (writer, _) =
         LogWriter::resume(dir).map_err(|e| format!("journal recovery failed: {e}"))?;
-    let scanned = scan_with(dir, |_, rec| {
-        let ev = rec.scheduled();
-        while let Some(due) = queue.pop_before(&ev) {
-            runtime.handle(due, queue);
-        }
-        runtime.handle(ev, queue);
-    })
-    .map_err(|e| format!("journal replay failed: {e}"))?;
+    let scanned = redrive_into(dir, run).map_err(|e| format!("journal replay failed: {e}"))?;
     Ok((writer, scanned.records))
+}
+
+/// Applies one `Post`/`Read`: checks it against the trace and the key
+/// order, journals it, steps the run, and builds the ack from the run's
+/// verdict. A refusal leaves journal and run untouched.
+fn apply_request(
+    req: &Request,
+    realized: &Realized,
+    run: &mut SimRun<'_>,
+    journal: Option<&mut LogWriter>,
+) -> Result<Response, String> {
+    let ev = req.to_event(realized.activities(), realized.user_count())?;
+    run.check_order(&ev).map_err(|e| e.to_string())?;
+    // Write-ahead: the request reaches the journal (flushed) before any
+    // of its effects reach the runtime, so a crash at any point is
+    // recoverable.
+    if let Some(j) = journal {
+        j.append(&ev, realized.chain_of(&ev))
+            .map_err(|e| format!("journal append failed: {e}"))?;
+    }
+    let online = run.step(ev).map_err(|e| e.to_string())?;
+    Ok(match ev.event {
+        Event::Post { .. } => Response::PostAck { delivered: online },
+        _ => Response::ReadAck { served: online },
+    })
 }
 
 /// Runs one opened simulation to its `Finish` (or EOF/shutdown).
@@ -164,33 +174,15 @@ fn run_simulation(
     spec: &SimSpec,
     store: Option<&Arc<StoreGate>>,
 ) -> io::Result<bool> {
-    let dataset = match spec.synthesize() {
-        Ok(ds) => ds,
+    // The dataset is only the recipe's input: once realized it is dropped.
+    let realized = match spec.synthesize() {
+        Ok(dataset) => spec.realize(&dataset),
         Err(e) => {
             respond(stream, &Response::Error { message: format!("cannot open session: {e}") })?;
             return Ok(true);
         }
     };
-    let config = spec.study_config();
-    let schedules = model_schedules(&dataset, spec.model, &config);
-    let placements = place_replicas(
-        &dataset,
-        &schedules,
-        spec.policy,
-        spec.replication_degree as usize,
-        &config,
-    );
-    let activities = dataset.activities();
-    let span_days = trace_span_days(activities);
-    let mut queue = EventQueue::new().with_sessions(&schedules, 0..span_days);
-    let transport = InstantTransport;
-    let mut runtime = NodeRuntime::new(
-        &schedules,
-        &placements,
-        activities,
-        &transport,
-        spec.dissemination,
-    );
+    let mut run = realized.start();
     // Claim and open the journal (recovering an interrupted session)
     // before Opened, so the driver learns how many requests to skip.
     // `_journal_claim` holds the store gate for the whole session; its
@@ -205,7 +197,7 @@ fn run_simulation(
             })?;
             return Ok(true);
         };
-        match open_journal(held.dir(), spec, &mut queue, &mut runtime) {
+        match open_journal(held.dir(), spec, &mut run) {
             Ok((writer, n)) => {
                 journal = Some(writer);
                 recovered = n;
@@ -218,9 +210,9 @@ fn run_simulation(
         }
     }
     respond(stream, &Response::Opened {
-        users: dataset.user_count().min(u32::MAX as usize) as u32,
-        span_days,
-        posts: activities.len().min(u32::MAX as usize) as u32,
+        users: realized.user_count().min(u32::MAX as usize) as u32,
+        span_days: realized.span_days(),
+        posts: realized.activities().len().min(u32::MAX as usize) as u32,
         recovered,
     })?;
 
@@ -238,79 +230,10 @@ fn run_simulation(
                 flag.request();
                 return Ok(false);
             }
-            Incoming::Frame(Request::Post { index, creator, receiver, at_secs }) => {
-                let idx = index as usize;
-                let expected = activities.get(idx).copied();
-                let matches = expected.is_some_and(|a| {
-                    a.creator().as_u32() == creator
-                        && a.receiver().as_u32() == receiver
-                        && a.timestamp().as_secs() == at_secs
-                });
-                if !matches {
-                    respond(stream, &Response::Error {
-                        message: format!("post {index} does not match the synthesized trace"),
-                    })?;
-                    continue;
-                }
-                let ev = ScheduledEvent::new(
-                    Timestamp::new(at_secs),
-                    u64::from(index),
-                    Event::Post { activity: index },
-                );
-                // Write-ahead: the request reaches the journal (flushed)
-                // before any of its effects reach the runtime, so a
-                // crash at any point is recoverable.
-                if let Some(j) = journal.as_mut() {
-                    if let Err(e) = j.append(&ev, UserId::new(receiver)) {
-                        respond(stream, &Response::Error {
-                            message: format!("journal append failed: {e}"),
-                        })?;
-                        continue;
-                    }
-                }
-                while let Some(due) = queue.pop_before(&ev) {
-                    runtime.handle(due, &mut queue);
-                }
-                let owner = UserId::new(receiver);
-                let delivered = runtime.node(owner).online
-                    || placements
-                        .get(owner.index())
-                        .is_some_and(|hosts| hosts.iter().any(|&h| runtime.node(h).online));
-                runtime.handle(ev, &mut queue);
-                respond(stream, &Response::PostAck { delivered })?;
-            }
-            Incoming::Frame(Request::Read { seq, owner, reader, at_secs }) => {
-                let in_range =
-                    (owner as usize) < placements.len() && (reader as usize) < placements.len();
-                if !in_range {
-                    respond(stream, &Response::Error {
-                        message: format!("read names user {owner}/{reader} outside the dataset"),
-                    })?;
-                    continue;
-                }
-                let owner = UserId::new(owner);
-                let ev = ScheduledEvent::new(
-                    Timestamp::new(at_secs),
-                    seq,
-                    Event::ProfileRead { owner, reader: UserId::new(reader) },
-                );
-                if let Some(j) = journal.as_mut() {
-                    if let Err(e) = j.append(&ev, owner) {
-                        respond(stream, &Response::Error {
-                            message: format!("journal append failed: {e}"),
-                        })?;
-                        continue;
-                    }
-                }
-                while let Some(due) = queue.pop_before(&ev) {
-                    runtime.handle(due, &mut queue);
-                }
-                let served = runtime.node(owner).online
-                    || placements
-                        .get(owner.index())
-                        .is_some_and(|hosts| hosts.iter().any(|&h| runtime.node(h).online));
-                runtime.handle(ev, &mut queue);
-                respond(stream, &Response::ReadAck { served })?;
+            Incoming::Frame(req @ (Request::Post { .. } | Request::Read { .. })) => {
+                let reply = apply_request(&req, &realized, &mut run, journal.as_mut())
+                    .unwrap_or_else(|message| Response::Error { message });
+                respond(stream, &reply)?;
             }
             Incoming::Frame(Request::Finish) => {
                 // Seal the journal (final sync + index) before folding
@@ -324,10 +247,7 @@ fn run_simulation(
                         return Ok(true);
                     }
                 }
-                while let Some(due) = queue.pop() {
-                    runtime.handle(due, &mut queue);
-                }
-                let report = runtime.into_report();
+                let (report, _) = run.finish();
                 respond(stream, &Response::Report(ReportParts::from_report(&report)))?;
                 return Ok(true);
             }

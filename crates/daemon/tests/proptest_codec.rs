@@ -147,9 +147,14 @@ fn report_strategy() -> impl Strategy<Value = ReportParts> {
 fn response_strategy() -> impl Strategy<Value = Response> {
     prop_oneof![
         any::<u32>().prop_map(|version| Response::Welcome { version }),
-        (any::<u32>(), any::<u64>(), any::<u32>()).prop_map(|(users, span_days, posts)| {
-            Response::Opened { users, span_days, posts }
-        }),
+        (any::<u32>(), any::<u64>(), any::<u32>(), any::<u64>()).prop_map(
+            |(users, span_days, posts, recovered)| Response::Opened {
+                users,
+                span_days,
+                posts,
+                recovered,
+            }
+        ),
         any::<bool>().prop_map(|delivered| Response::PostAck { delivered }),
         any::<bool>().prop_map(|served| Response::ReadAck { served }),
         report_strategy().prop_map(Response::Report),
@@ -196,7 +201,7 @@ proptest! {
         extra in 1usize..5,
     ) {
         let mut bytes = encode_request(&req);
-        bytes.extend(std::iter::repeat(0).take(extra));
+        bytes.extend(std::iter::repeat_n(0, extra));
         prop_assert!(decode_request(&bytes).is_err());
     }
 

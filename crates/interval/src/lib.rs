@@ -21,6 +21,9 @@
 //!   for the interval algebra's property tests).
 //! * [`Timestamp`] — absolute event time (seconds since an arbitrary
 //!   epoch) with projection onto the time-of-day circle.
+//! * [`le`] — the little-endian primitive codec under the daemon's wire
+//!   frames and the store's log records; it lives here because this is
+//!   the lowest crate both formats build on.
 //!
 //! The resolution is one second throughout: fine enough for the paper's
 //! session-length sweep (which goes down to 100-second sessions) and exact
@@ -49,6 +52,7 @@
 pub mod cast;
 mod error;
 mod interval;
+pub mod le;
 mod mask;
 mod schedule;
 mod set;

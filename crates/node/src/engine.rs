@@ -5,10 +5,9 @@ use dosn_trace::{Activity, StudyView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::events::{Event, EventQueue, ScheduledEvent};
+use crate::events::{Event, ScheduledEvent};
 use crate::report::SystemReport;
-use crate::state::NodeRuntime;
-use crate::transport::{InstantTransport, Transport};
+use crate::run::Realized;
 
 /// How a delivered post reaches the profile hosts that were offline at
 /// post time.
@@ -42,22 +41,6 @@ pub trait EventSink {
     fn record(&mut self, ev: &ScheduledEvent, chain: UserId);
 }
 
-/// The per-user chain an event belongs to (see [`EventSink::record`]).
-/// A post's chain is its receiver, looked up in the compiled trace; an
-/// out-of-range activity index (which the runtime ignores) maps to the
-/// saturated user id rather than panicking.
-fn event_chain(ev: &ScheduledEvent, activities: &[Activity]) -> UserId {
-    match ev.event {
-        Event::SessionStart { user } | Event::SessionEnd { user } => user,
-        Event::Post { activity } => activities
-            .get(activity as usize)
-            .map(|a| a.receiver())
-            .unwrap_or(UserId::new(u32::MAX)),
-        Event::ProfileRead { owner, .. } => owner,
-        Event::Disseminate { host, .. } | Event::CloudFetch { host, .. } => host,
-    }
-}
-
 /// Event-loop counters of one full-system run, for throughput reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -75,19 +58,19 @@ pub struct RunStats {
 
 /// Builder for a full-system run: study view in, [`SystemReport`] out.
 ///
-/// The facade over the event-driven node runtime. A run compiles the
-/// study inputs into a deterministic event stream and consumes it
-/// through the layered machinery:
+/// The batch caller of the simulation spine ([`Realized`] /
+/// [`SimRun`](crate::SimRun)):
 ///
-/// 1. model everyone's online schedule and place every user's replicas
-///    (placement is seeded per user, so it parallelizes over
-///    [`StudyConfig::effective_threads`] without changing any byte);
-/// 2. compile the trace, the drawn read schedule, and the session
-///    boundaries into the scheduler's [`EventQueue`];
-/// 3. run the [`NodeRuntime`] state machine over the stream — post
-///    landings and profile reads consult live online flags, offline-host
-///    deliveries are scheduled through the [`Transport`];
-/// 4. fold per-post outcomes and per-node accounting into the report.
+/// 1. realize the inputs — model everyone's online schedule, place every
+///    user's replicas (seeded per user, so it parallelizes over
+///    [`StudyConfig::effective_threads`] without changing any byte), and
+///    compile the trace;
+/// 2. merge the trace's posts and the drawn read schedule into one
+///    request stream ([`request_stream`]);
+/// 3. step the run through every request — session boundaries and
+///    offline-host deliveries interleave from the run's own queue;
+/// 4. finish: fold per-post outcomes and per-node accounting into the
+///    report.
 ///
 /// Any [`StudyView`] with [`StudyView::supports_replay`] works — a
 /// fully-indexed [`Dataset`](dosn_trace::Dataset), or a compact
@@ -115,7 +98,6 @@ pub struct SystemSim<'a> {
     replication_degree: usize,
     reads_per_friend_day: f64,
     dissemination: DisseminationMode,
-    transport: Option<&'a dyn Transport>,
 }
 
 impl std::fmt::Debug for SystemSim<'_> {
@@ -127,7 +109,6 @@ impl std::fmt::Debug for SystemSim<'_> {
             .field("replication_degree", &self.replication_degree)
             .field("reads_per_friend_day", &self.reads_per_friend_day)
             .field("dissemination", &self.dissemination)
-            .field("transport", &self.transport.map(Transport::name))
             .finish()
     }
 }
@@ -143,7 +124,6 @@ impl<'a> SystemSim<'a> {
             replication_degree: 4,
             reads_per_friend_day: 0.1,
             dissemination: DisseminationMode::FriendToFriend,
-            transport: None,
         }
     }
 
@@ -175,13 +155,6 @@ impl<'a> SystemSim<'a> {
     /// Sets how delivered posts reach offline hosts.
     pub fn dissemination(&mut self, mode: DisseminationMode) -> &mut Self {
         self.dissemination = mode;
-        self
-    }
-
-    /// Overrides the transport used for friend-to-friend dissemination
-    /// (defaults to [`InstantTransport`]).
-    pub fn transport(&mut self, transport: &'a dyn Transport) -> &mut Self {
-        self.transport = Some(transport);
         self
     }
 
@@ -219,53 +192,33 @@ impl<'a> SystemSim<'a> {
     fn run_impl(
         &self,
         config: &StudyConfig,
-        mut sink: Option<&mut dyn EventSink>,
+        sink: Option<&mut dyn EventSink>,
     ) -> (SystemReport, RunStats) {
-        let view = self.view;
-        // Stage 1: model everyone's online schedule.
-        let schedules = model_schedules(view, self.model, config);
-
-        // Stage 2: placement for every user. Each placement draws from
-        // its own user-seeded RNG, so contiguous chunks parallelize
-        // without changing a single choice.
-        let placements = place_replicas(view, &schedules, self.policy, self.replication_degree, config);
-
-        // Stage 3: compile the inputs into the event stream.
-        let mut activities: Vec<Activity> = Vec::with_capacity(view.activity_count());
-        view.for_each_activity(&mut |a| activities.push(*a));
-        let span_days = trace_span_days(&activities);
-        let posts: Vec<ScheduledEvent> = activities
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                ScheduledEvent::new(a.timestamp(), i as u64, Event::Post { activity: event_index(i) })
-            })
-            .collect();
-        let reads =
-            draw_profile_reads(view, &schedules, span_days, self.reads_per_friend_day, config);
-
-        // Stage 4: run the state machine over the merged stream.
-        let transport = self.transport.unwrap_or(&InstantTransport);
-        let mut queue = EventQueue::new().with_sessions(&schedules, 0..span_days);
-        queue.push_stream(posts);
-        queue.push_stream(reads);
-        let mut runtime = NodeRuntime::new(
-            &schedules,
-            &placements,
-            &activities,
-            transport,
+        let realized = Realized::new(
+            self.view,
+            self.model,
+            self.policy,
+            self.replication_degree,
             self.dissemination,
+            config,
         );
-        while let Some(ev) = queue.pop() {
-            if let Some(s) = sink.as_deref_mut() {
-                s.record(&ev, event_chain(&ev, &activities));
-            }
-            runtime.handle(ev, &mut queue);
+        let requests = request_stream(
+            self.view,
+            realized.schedules(),
+            realized.span_days(),
+            self.reads_per_friend_day,
+            config,
+        );
+        let mut run = realized.start();
+        if let Some(sink) = sink {
+            run = run.with_sink(sink);
         }
-        let stats = runtime.stats();
-        (runtime.into_report(), stats)
+        for ev in requests {
+            let stepped = run.step(ev);
+            debug_assert!(stepped.is_ok(), "the merged stream is strictly increasing");
+        }
+        run.finish()
     }
-
 }
 
 /// Stage-1 online schedules: everyone's modeled schedule, drawn from the
@@ -371,6 +324,34 @@ pub fn draw_profile_reads(
     }
     events.sort_unstable();
     events
+}
+
+/// The request stream of one run: the trace's posts (sequence number =
+/// trace index) and the drawn profile reads, merged into the order the
+/// scheduler applies them in. The batch run steps through it in process;
+/// a live driver sends it over the wire, keys riding along, so the
+/// daemon reconstructs the identical total order.
+pub fn request_stream(
+    view: &dyn StudyView,
+    schedules: &OnlineSchedules,
+    span_days: u64,
+    reads_per_friend_day: f64,
+    config: &StudyConfig,
+) -> Vec<ScheduledEvent> {
+    let mut stream: Vec<ScheduledEvent> = Vec::with_capacity(view.activity_count());
+    view.for_each_activity(&mut |a| {
+        let i = stream.len();
+        stream.push(ScheduledEvent::new(
+            a.timestamp(),
+            i as u64,
+            Event::Post { activity: event_index(i) },
+        ));
+    });
+    stream.extend(draw_profile_reads(view, schedules, span_days, reads_per_friend_day, config));
+    // Two sorted runs, no equal keys: the stable sort detects the runs
+    // and merges them in one pass.
+    stream.sort();
+    stream
 }
 
 /// Converts an activity index to the event payload's u32, saturating at
@@ -575,26 +556,5 @@ mod tests {
             sink.0.windows(2).all(|w| w[0].0 <= w[1].0),
             "recorded times must be non-decreasing"
         );
-    }
-
-    #[test]
-    fn custom_transport_slots_into_the_runtime() {
-        use crate::transport::FixedLatencyTransport;
-        let ds = dataset();
-        let config = StudyConfig::default();
-        let instant = SystemSim::new(&ds)
-            .model(ModelKind::fixed_hours(4))
-            .run(&config);
-        let slow = FixedLatencyTransport { latency_secs: 1_800 };
-        let delayed = SystemSim::new(&ds)
-            .model(ModelKind::fixed_hours(4))
-            .transport(&slow)
-            .run(&config);
-        // Same delivery decisions (post-time availability is unchanged)…
-        assert_eq!(instant.posts_delivered(), delayed.posts_delivered());
-        // …but every non-instant arrival is later.
-        let a = instant.staleness_hours().mean().unwrap();
-        let b = delayed.staleness_hours().mean().unwrap();
-        assert!(b > a, "latency transport should raise staleness: {a} vs {b}");
     }
 }

@@ -1,16 +1,18 @@
 //! The discrete-event scheduler: a deterministic, stable-ordered queue
 //! of typed node-runtime events.
 //!
-//! Three event sources feed the queue:
+//! Two event sources feed the queue:
 //!
-//! * **static streams** — pre-sorted vectors (trace posts, drawn profile
-//!   reads) drained by cursor, zero rescheduling cost;
 //! * **session boundaries** — `SessionStart`/`SessionEnd` pairs derived
 //!   from the drawn [`OnlineSchedules`], generated lazily one day at a
 //!   time so a 100k-user multi-week replay never materializes the full
 //!   boundary stream;
 //! * **dynamic events** — `Disseminate`/`CloudFetch` deliveries the
 //!   state machine schedules while handling earlier events.
+//!
+//! Request events (`Post`, `ProfileRead`) never sit in the queue: a run
+//! steps them in from outside ([`SimRun::step`](crate::SimRun::step)),
+//! draining the queue strictly before each one's key.
 //!
 //! Every event carries a total order key `(time, class, seq)`: `class`
 //! ranks same-instant events (session boundaries settle before payload
@@ -227,22 +229,18 @@ impl SessionFeeder<'_> {
     }
 }
 
-/// The deterministic event queue: a k-way merge of static streams, the
-/// lazy session feeder, and a heap of dynamically scheduled events.
+/// The deterministic event queue: a merge of the lazy session feeder
+/// and a heap of dynamically scheduled events.
 ///
 /// # Examples
 ///
 /// ```
 /// use dosn_interval::Timestamp;
-/// use dosn_node::{Event, EventQueue, ScheduledEvent};
+/// use dosn_node::{Event, EventQueue};
 /// use dosn_socialgraph::UserId;
 ///
 /// let mut q = EventQueue::new();
-/// q.push_stream(vec![ScheduledEvent::new(
-///     Timestamp::new(50),
-///     0,
-///     Event::Post { activity: 0 },
-/// )]);
+/// q.schedule(Timestamp::new(50), Event::CloudFetch { post: 0, host: UserId::new(2) });
 /// q.schedule(
 ///     Timestamp::new(10),
 ///     Event::Disseminate { post: 0, host: UserId::new(1), source: UserId::new(0) },
@@ -254,7 +252,6 @@ impl SessionFeeder<'_> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<'a> {
-    streams: Vec<Stream>,
     heap: BinaryHeap<Reverse<ScheduledEvent>>,
     next_seq: u64,
     sessions: Option<SessionFeeder<'a>>,
@@ -270,7 +267,6 @@ impl<'a> EventQueue<'a> {
     /// An empty queue.
     pub fn new() -> EventQueue<'a> {
         EventQueue {
-            streams: Vec::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             sessions: None,
@@ -290,16 +286,6 @@ impl<'a> EventQueue<'a> {
         self
     }
 
-    /// Adds a static stream. `events` must already be sorted by queue
-    /// order ([`ScheduledEvent`]'s `Ord`).
-    pub fn push_stream(&mut self, events: Vec<ScheduledEvent>) {
-        debug_assert!(
-            events.windows(2).all(|w| w.first() <= w.last()),
-            "static stream must be pre-sorted"
-        );
-        self.streams.push(Stream { events, cursor: 0 });
-    }
-
     /// Schedules a dynamic event; among dynamic events at equal time and
     /// class, creation order is the pop order.
     pub fn schedule(&mut self, at: Timestamp, event: Event) {
@@ -308,100 +294,58 @@ impl<'a> EventQueue<'a> {
         self.heap.push(Reverse(ev));
     }
 
-    /// Index of the non-feeder source currently holding the smallest
-    /// head, if any. `usize::MAX` denotes the heap.
-    fn best_source(&self) -> Option<(usize, ScheduledEvent)> {
-        let mut best: Option<(usize, ScheduledEvent)> = None;
-        let consider = |best: &mut Option<(usize, ScheduledEvent)>, src: usize, ev: ScheduledEvent| {
-            if best.is_none_or(|(_, b)| ev < b) {
-                *best = Some((src, ev));
-            }
-        };
-        for (i, s) in self.streams.iter().enumerate() {
-            if let Some(&ev) = s.head() {
-                consider(&mut best, i, ev);
-            }
+    /// The smallest queued head, and whether it sits in the session
+    /// buffer (`true`) or the heap (`false`). The buffer wins a tie.
+    fn front(&self) -> Option<(bool, ScheduledEvent)> {
+        let session = self.sessions.as_ref().and_then(|f| f.buffer.head().copied());
+        let dynamic = self.heap.peek().map(|&Reverse(ev)| ev);
+        match (session, dynamic) {
+            (Some(s), Some(d)) if d < s => Some((false, d)),
+            (Some(s), _) => Some((true, s)),
+            (None, d) => d.map(|d| (false, d)),
         }
-        if let Some(f) = &self.sessions {
-            if let Some(&ev) = f.buffer.head() {
-                consider(&mut best, usize::MAX - 1, ev);
-            }
-        }
-        if let Some(&Reverse(ev)) = self.heap.peek() {
-            consider(&mut best, usize::MAX, ev);
-        }
-        best
     }
 
     /// Removes and returns the globally next event.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        loop {
-            let best = self.best_source();
-            // Generate the next day of session events once the merge
-            // front reaches (or runs past) that day's start.
-            if let Some(f) = self.sessions.as_mut() {
-                if f.buffer.head().is_none() && f.has_more_days() {
-                    let boundary = Timestamp::from_day_and_offset(f.next_day, 0);
-                    let need_day = match best {
-                        None => true,
-                        Some((_, ev)) => ev.at >= boundary,
-                    };
-                    if need_day {
-                        f.feed_next_day();
-                        continue;
-                    }
-                }
-            }
-            return match best {
-                None => None,
-                Some((src, _)) if src == usize::MAX => self.heap.pop().map(|Reverse(ev)| ev),
-                Some((src, _)) if src == usize::MAX - 1 => {
-                    self.sessions.as_mut().and_then(|f| f.buffer.pop())
-                }
-                Some((src, _)) => self.streams.get_mut(src).and_then(Stream::pop),
-            };
-        }
+        self.pop_bounded(None)
     }
 
     /// Removes and returns the globally next event, but only if it
     /// orders strictly before `limit`; otherwise leaves the queue
     /// untouched and returns `None`.
     ///
-    /// This is the incremental-advance primitive a live session uses:
+    /// This is the incremental-advance primitive a run's `step` uses:
     /// before handling an externally supplied event it drains every
-    /// queued event that the batch loop would have popped first, so the
-    /// interleaving matches the batch run exactly. Session days are only
-    /// generated once the limit reaches them, keeping the lazy feeder
-    /// lazy across calls.
+    /// queued event that orders first. Session days are only generated
+    /// once the limit reaches them, keeping the lazy feeder lazy across
+    /// calls.
     pub fn pop_before(&mut self, limit: &ScheduledEvent) -> Option<ScheduledEvent> {
+        self.pop_bounded(Some(limit))
+    }
+
+    fn pop_bounded(&mut self, limit: Option<&ScheduledEvent>) -> Option<ScheduledEvent> {
         loop {
-            let best = self.best_source();
+            let front = self.front();
             // Generate the next day of session events once the merge
-            // front reaches that day's start — but never a day the limit
-            // has not reached, so pop_before stays incremental.
+            // front reaches (or runs past) that day's start — but never
+            // a day the limit has not reached.
             if let Some(f) = self.sessions.as_mut() {
                 if f.buffer.head().is_none() && f.has_more_days() {
                     let boundary = Timestamp::from_day_and_offset(f.next_day, 0);
-                    let limit_wants_day = limit.at >= boundary;
-                    let need_day = limit_wants_day
-                        && match best {
-                            None => true,
-                            Some((_, ev)) => ev.at >= boundary,
-                        };
-                    if need_day {
+                    if limit.is_none_or(|l| l.at >= boundary)
+                        && front.is_none_or(|(_, ev)| ev.at >= boundary)
+                    {
                         f.feed_next_day();
                         continue;
                     }
                 }
             }
-            return match best {
-                Some((_, ev)) if ev >= *limit => None,
+            return match front {
+                Some((_, ev)) if limit.is_some_and(|l| ev >= *l) => None,
+                Some((true, _)) => self.sessions.as_mut().and_then(|f| f.buffer.pop()),
+                Some((false, _)) => self.heap.pop().map(|Reverse(ev)| ev),
                 None => None,
-                Some((src, _)) if src == usize::MAX => self.heap.pop().map(|Reverse(ev)| ev),
-                Some((src, _)) if src == usize::MAX - 1 => {
-                    self.sessions.as_mut().and_then(|f| f.buffer.pop())
-                }
-                Some((src, _)) => self.streams.get_mut(src).and_then(Stream::pop),
             };
         }
     }
@@ -420,7 +364,7 @@ mod tests {
     fn classes_rank_session_boundaries_before_payloads() {
         let t = Timestamp::new(1_000);
         let mut q = EventQueue::new();
-        q.push_stream(vec![ScheduledEvent::new(t, 0, Event::Post { activity: 0 })]);
+        q.schedule(t, Event::Post { activity: 0 });
         q.schedule(t, Event::Disseminate { post: 0, host: user(1), source: user(0) });
         let mut classes = Vec::new();
         while let Some(ev) = q.pop() {
@@ -537,14 +481,16 @@ mod tests {
             .collect();
 
         let mut batch = EventQueue::new().with_sessions(&schedules, 0..4);
-        batch.push_stream(posts.clone());
+        for post in &posts {
+            batch.schedule(post.at, post.event);
+        }
         let mut expect = Vec::new();
         while let Some(ev) = batch.pop() {
             expect.push((ev.at, ev.event));
         }
 
-        // Live mode: the posts arrive as external requests, everything
-        // else drains via pop_before keyed on each request.
+        // Stepped mode: the posts arrive from outside, everything else
+        // drains via pop_before keyed on each one.
         let mut live = EventQueue::new().with_sessions(&schedules, 0..4);
         let mut got = Vec::new();
         for post in &posts {
@@ -560,21 +506,17 @@ mod tests {
     }
 
     #[test]
-    fn lazy_feeder_merges_with_streams_in_global_order() {
+    fn lazy_feeder_merges_with_the_heap_in_global_order() {
         let schedules = OnlineSchedules::new(vec![
             DaySchedule::window_wrapping(100, 200).expect("valid window"),
         ]);
         let mut q = EventQueue::new().with_sessions(&schedules, 0..3);
-        let posts: Vec<ScheduledEvent> = (0..3u32)
-            .map(|d| {
-                ScheduledEvent::new(
-                    Timestamp::from_day_and_offset(u64::from(d), 150),
-                    u64::from(d),
-                    Event::Post { activity: d },
-                )
-            })
-            .collect();
-        q.push_stream(posts);
+        for d in 0..3u32 {
+            q.schedule(
+                Timestamp::from_day_and_offset(u64::from(d), 150),
+                Event::Post { activity: d },
+            );
+        }
         let mut order = Vec::new();
         let mut last: Option<ScheduledEvent> = None;
         while let Some(ev) = q.pop() {

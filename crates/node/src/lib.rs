@@ -23,10 +23,12 @@
 //! ([`NodeRuntime`] consumes one event at a time and folds post
 //! outcomes into the report in trace order); `transport.rs` answers
 //! when offline hosts receive an update ([`InstantTransport`] wraps
-//! the co-online propagation oracle; latency-injecting or lossy media
-//! are one-struct additions). [`SystemSim`] is the facade that wires
-//! them up over any [`dosn_trace::StudyView`] — in-memory datasets or
-//! CSR shard datasets built with a replay log.
+//! the co-online propagation oracle). `run.rs` is the one spine over
+//! them: [`Realized`] inputs start a [`SimRun`], which is stepped one
+//! keyed request at a time and finished into the report. [`SystemSim`]
+//! is its batch caller over any [`dosn_trace::StudyView`] — in-memory
+//! datasets or CSR shard datasets built with a replay log; the serving
+//! daemon, its journal recovery and offline log replay are the others.
 //!
 //! # Examples
 //!
@@ -51,14 +53,16 @@
 mod engine;
 mod events;
 mod report;
+mod run;
 mod state;
 mod transport;
 
 pub use engine::{
-    draw_profile_reads, model_schedules, place_replicas, trace_span_days, DisseminationMode,
-    EventSink, RunStats, SystemSim,
+    draw_profile_reads, model_schedules, place_replicas, request_stream, trace_span_days,
+    DisseminationMode, EventSink, RunStats, SystemSim,
 };
 pub use events::{session_events_for_day, Event, EventQueue, ScheduledEvent};
 pub use report::{NodeAccounting, SystemReport};
+pub use run::{OutOfOrder, Realized, SimRun};
 pub use state::{NodeRuntime, NodeState};
-pub use transport::{FixedLatencyTransport, InstantTransport, Transport};
+pub use transport::InstantTransport;

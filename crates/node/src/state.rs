@@ -4,7 +4,7 @@
 //! [`NodeRuntime`] owns one [`NodeState`] per user and consumes the
 //! scheduler's event stream: session boundaries toggle online flags,
 //! posts land on whichever profile hosts are online and hand the rest to
-//! the [`Transport`], and delivery events (`Disseminate`/`CloudFetch`)
+//! the [`InstantTransport`], and delivery events (`Disseminate`/`CloudFetch`)
 //! move updates from pending to stored with the per-node message
 //! accounting the batch pipeline used to do inline. At the end of the
 //! stream [`NodeRuntime::into_report`] folds the per-post outcomes (in
@@ -18,7 +18,7 @@ use dosn_trace::Activity;
 use crate::engine::{DisseminationMode, RunStats};
 use crate::events::{Event, EventQueue, ScheduledEvent};
 use crate::report::{NodeAccounting, SystemReport};
-use crate::transport::Transport;
+use crate::transport::InstantTransport;
 
 /// One node's live state during a run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,7 +70,7 @@ pub struct NodeRuntime<'a> {
     schedules: &'a OnlineSchedules,
     placements: &'a [Vec<UserId>],
     activities: &'a [Activity],
-    transport: &'a dyn Transport,
+    transport: InstantTransport,
     dissemination: DisseminationMode,
     outcomes: Vec<PostOutcome>,
     reads_total: usize,
@@ -83,7 +83,6 @@ impl std::fmt::Debug for NodeRuntime<'_> {
         f.debug_struct("NodeRuntime")
             .field("nodes", &self.nodes.len())
             .field("posts", &self.activities.len())
-            .field("transport", &self.transport.name())
             .field("dissemination", &self.dissemination)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -97,7 +96,7 @@ impl<'a> NodeRuntime<'a> {
         schedules: &'a OnlineSchedules,
         placements: &'a [Vec<UserId>],
         activities: &'a [Activity],
-        transport: &'a dyn Transport,
+        transport: &InstantTransport,
         dissemination: DisseminationMode,
     ) -> Self {
         NodeRuntime {
@@ -105,7 +104,7 @@ impl<'a> NodeRuntime<'a> {
             schedules,
             placements,
             activities,
-            transport,
+            transport: *transport,
             dissemination,
             outcomes: vec![PostOutcome::Failed; activities.len()],
             reads_total: 0,
@@ -153,8 +152,10 @@ impl<'a> NodeRuntime<'a> {
     }
 
     /// Consumes one event, possibly scheduling delivery events onto
-    /// `queue`.
-    pub fn handle(&mut self, ev: ScheduledEvent, queue: &mut EventQueue<'_>) {
+    /// `queue`. Returns the verdict of a request event — whether any
+    /// profile host was online to take the `Post` (delivered) or answer
+    /// the `ProfileRead` (served); `false` for every other event.
+    pub fn handle(&mut self, ev: ScheduledEvent, queue: &mut EventQueue<'_>) -> bool {
         self.stats.events_processed += 1;
         match ev.event {
             Event::SessionStart { user } => {
@@ -167,7 +168,7 @@ impl<'a> NodeRuntime<'a> {
             }
             Event::Post { activity } => {
                 self.stats.post_events += 1;
-                self.handle_post(activity, ev, queue);
+                return self.handle_post(activity, ev, queue);
             }
             Event::ProfileRead { owner, reader: _ } => {
                 self.stats.read_events += 1;
@@ -175,6 +176,7 @@ impl<'a> NodeRuntime<'a> {
                 let served = self.online(owner)
                     || self.placement(owner).iter().any(|&h| self.online(h));
                 self.reads_served += served as usize;
+                return served;
             }
             Event::Disseminate { post: _, host, source } => {
                 self.stats.delivery_events += 1;
@@ -193,12 +195,19 @@ impl<'a> NodeRuntime<'a> {
                 });
             }
         }
+        false
     }
 
-    fn handle_post(&mut self, activity: u32, ev: ScheduledEvent, queue: &mut EventQueue<'_>) {
+    /// Lands one post; returns whether any profile host was online.
+    fn handle_post(
+        &mut self,
+        activity: u32,
+        ev: ScheduledEvent,
+        queue: &mut EventQueue<'_>,
+    ) -> bool {
         let idx = activity as usize;
         let Some(&a) = self.activities.get(idx) else {
-            return; // an index outside the trace delivers nothing
+            return false; // an index outside the trace delivers nothing
         };
         let receiver = a.receiver();
         let t = ev.at;
@@ -217,7 +226,7 @@ impl<'a> NodeRuntime<'a> {
             .collect();
         if online.is_empty() {
             self.set_outcome(idx, PostOutcome::Failed);
-            return;
+            return false;
         }
         // The online hosts store the update immediately; the creator's
         // node sent one message per online host it is not itself.
@@ -230,7 +239,7 @@ impl<'a> NodeRuntime<'a> {
         }
         if online.len() == hosts.len() {
             self.set_outcome(idx, PostOutcome::Instant);
-            return;
+            return true;
         }
         // Dissemination to the offline hosts: ask the transport when
         // each copy lands, then schedule the delivery events.
@@ -307,6 +316,7 @@ impl<'a> NodeRuntime<'a> {
             }
         };
         self.set_outcome(idx, outcome);
+        true
     }
 
     /// Folds the run into a [`SystemReport`]: per-post outcomes in trace

@@ -1,49 +1,15 @@
 //! The transport layer: how a pending update physically reaches the
 //! profile hosts that were offline at post time.
 //!
-//! The state machine asks the [`Transport`] *when* each copy lands and
-//! schedules the delivery events; the transport encapsulates the
-//! propagation physics. [`InstantTransport`] reproduces the batch
-//! simulator's semantics (a transfer completes the moment two nodes are
-//! co-online); [`FixedLatencyTransport`] shows that alternative media
-//! are one-struct additions — a lossy or daemon-backed wire transport
-//! slots in the same way.
+//! The state machine asks [`InstantTransport`] *when* each copy lands
+//! and schedules the delivery events; the transport encapsulates the
+//! propagation physics — a transfer completes the moment two nodes are
+//! co-online, the batch simulator's semantics.
 
 use dosn_core::replay::simulate_update_from_sources;
 use dosn_interval::Timestamp;
 use dosn_onlinetime::OnlineSchedules;
 use dosn_socialgraph::UserId;
-
-/// When does each host of a replica set first hold an update?
-///
-/// `hosts` is the full replica set (owner first), `sources` the indices
-/// already holding the update at `at`. The result is indexed like
-/// `hosts`: sources report `Some(at)`, reachable hosts their first
-/// arrival instant, unreachable hosts `None`.
-///
-/// Implementations must be deterministic: the same arguments must yield
-/// the same arrivals (the scheduler replays runs byte-identically). The
-/// `Sync` bound lets one transport serve a whole simulation, whichever
-/// threads the run fans out to.
-pub trait Transport: Sync {
-    /// A short human-readable name for reports and diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Computes the arrival instants (see the trait docs).
-    fn disseminate(
-        &self,
-        hosts: &[UserId],
-        schedules: &OnlineSchedules,
-        sources: &[usize],
-        at: Timestamp,
-    ) -> Vec<Option<Timestamp>>;
-}
-
-impl std::fmt::Debug for dyn Transport + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Transport({})", self.name())
-    }
-}
 
 /// In-memory instantaneous delivery: a transfer completes the moment
 /// two nodes are co-online — the epidemic oracle the batch simulator
@@ -51,12 +17,16 @@ impl std::fmt::Debug for dyn Transport + '_ {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InstantTransport;
 
-impl Transport for InstantTransport {
-    fn name(&self) -> &'static str {
-        "instant"
-    }
-
-    fn disseminate(
+impl InstantTransport {
+    /// When does each host of a replica set first hold an update?
+    ///
+    /// `hosts` is the full replica set (owner first), `sources` the
+    /// indices already holding the update at `at`. The result is indexed
+    /// like `hosts`: sources report `Some(at)`, reachable hosts their
+    /// first arrival instant, unreachable hosts `None`. Deterministic:
+    /// the same arguments yield the same arrivals (the scheduler replays
+    /// runs byte-identically).
+    pub fn disseminate(
         &self,
         hosts: &[UserId],
         schedules: &OnlineSchedules,
@@ -71,74 +41,21 @@ impl Transport for InstantTransport {
     }
 }
 
-/// Co-online delivery plus a fixed per-transfer latency: every hop that
-/// the instantaneous oracle completes at `t` lands at `t + latency`.
-///
-/// A deliberately simple pessimistic model (the latency is charged once
-/// per final delivery, not per relay hop) demonstrating that transports
-/// are pluggable without touching scheduler or state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedLatencyTransport {
-    /// Per-transfer latency, seconds.
-    pub latency_secs: u64,
-}
-
-impl Transport for FixedLatencyTransport {
-    fn name(&self) -> &'static str {
-        "fixed-latency"
-    }
-
-    fn disseminate(
-        &self,
-        hosts: &[UserId],
-        schedules: &OnlineSchedules,
-        sources: &[usize],
-        at: Timestamp,
-    ) -> Vec<Option<Timestamp>> {
-        InstantTransport
-            .disseminate(hosts, schedules, sources, at)
-            .iter()
-            .enumerate()
-            .map(|(i, arrival)| {
-                if sources.contains(&i) {
-                    *arrival
-                } else {
-                    arrival.map(|t| t.saturating_add(self.latency_secs))
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dosn_interval::DaySchedule;
 
-    fn schedules() -> OnlineSchedules {
-        OnlineSchedules::new(vec![
-            DaySchedule::window_wrapping(0, 7_200).expect("valid window"),
-            DaySchedule::window_wrapping(3_600, 7_200).expect("valid window"),
-        ])
-    }
-
     #[test]
     fn instant_transport_matches_the_replay_oracle() {
-        let s = schedules();
+        let s = OnlineSchedules::new(vec![
+            DaySchedule::window_wrapping(0, 7_200).expect("valid window"),
+            DaySchedule::window_wrapping(3_600, 7_200).expect("valid window"),
+        ]);
         let hosts = [UserId::new(0), UserId::new(1)];
         let arrivals = InstantTransport.disseminate(&hosts, &s, &[0], Timestamp::new(0));
         assert_eq!(arrivals[0], Some(Timestamp::new(0)));
         // Host 1 comes online at 3600, meeting host 0's window.
         assert_eq!(arrivals[1], Some(Timestamp::new(3_600)));
-    }
-
-    #[test]
-    fn fixed_latency_shifts_non_source_arrivals_only() {
-        let s = schedules();
-        let hosts = [UserId::new(0), UserId::new(1)];
-        let t = FixedLatencyTransport { latency_secs: 300 };
-        let arrivals = t.disseminate(&hosts, &s, &[0], Timestamp::new(0));
-        assert_eq!(arrivals[0], Some(Timestamp::new(0)), "sources are not delayed");
-        assert_eq!(arrivals[1], Some(Timestamp::new(3_900)));
     }
 }

@@ -19,8 +19,9 @@
 //!   byte-identically.
 //! * [`LogKind::Journal`] — the validated `Post`/`Read` requests a
 //!   serving daemon applied, flushed before each apply (write-ahead).
-//!   On restart the daemon re-drives the journal through the event
-//!   queue and resumes serving exactly where it stopped.
+//!   On restart the daemon re-drives the journal through the same
+//!   `step` the live path uses ([`redrive_into`]) and resumes serving
+//!   exactly where it stopped.
 //!
 //! Crash consistency is the reader's job: a torn tail — truncated bytes
 //! or a checksum mismatch in the *last* segment, from which point frame
@@ -57,7 +58,7 @@ pub use record::{
     decode_record, encode_record, EventRecord, Record, RecordError, FRAME_HEADER_BYTES,
     MAX_RECORD_BYTES, NO_PREV,
 };
-pub use replay::replay_into;
+pub use replay::{redrive_into, replay_into};
 pub use writer::{LogWriter, StoreStats, SEGMENT_TARGET_BYTES};
 
 /// What a log holds.

@@ -14,6 +14,7 @@
 //! trailing bytes is an error — never a panic, never a silent
 //! acceptance.
 
+use dosn_interval::le::{Dec, DecodeError, Enc, MAX_FIELD_BYTES};
 use dosn_interval::Timestamp;
 use dosn_node::{Event, ScheduledEvent};
 use dosn_socialgraph::UserId;
@@ -24,7 +25,7 @@ use crate::LogKind;
 /// Hard cap on one record's payload. Event records are under 50 bytes;
 /// the header carries caller metadata (a `SimSpec`, tens of bytes).
 /// Anything larger is a corrupt frame, refused before allocation.
-pub const MAX_RECORD_BYTES: usize = 16 * 1024;
+pub const MAX_RECORD_BYTES: usize = MAX_FIELD_BYTES;
 
 /// Bytes of the `[u32 len][u32 crc]` frame header.
 pub const FRAME_HEADER_BYTES: u64 = 8;
@@ -111,82 +112,12 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-// ---------------------------------------------------------------------
-// Primitive writers/readers (the daemon codec's idiom)
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new(tag: u8) -> Self {
-        Enc { buf: vec![tag] }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        let len = b.len().min(u32::MAX as usize);
-        self.u32(len as u32);
-        self.buf.extend(b.iter().take(len));
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RecordError> {
-        if self.buf.len() < n {
-            return Err(RecordError::Truncated);
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, RecordError> {
-        self.take(1)?.first().copied().ok_or(RecordError::Truncated)
-    }
-
-    fn u32(&mut self) -> Result<u32, RecordError> {
-        let b = self.take(4)?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(b);
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Result<u64, RecordError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, RecordError> {
-        let len = self.u32()? as usize;
-        if len > MAX_RECORD_BYTES {
-            return Err(RecordError::Truncated);
-        }
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn finish(self) -> Result<(), RecordError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(RecordError::TrailingBytes { extra: self.buf.len() })
+impl From<DecodeError> for RecordError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => RecordError::Truncated,
+            DecodeError::BadValue { field } => RecordError::BadValue { field },
+            DecodeError::TrailingBytes { extra } => RecordError::TrailingBytes { extra },
         }
     }
 }
@@ -248,7 +179,7 @@ pub fn encode_record(record: &Record) -> Vec<u8> {
 /// Any [`RecordError`]: the payload must parse completely with no bytes
 /// to spare.
 pub fn decode_record(payload: &[u8]) -> Result<Record, RecordError> {
-    let mut d = Dec { buf: payload };
+    let mut d = Dec::new(payload);
     let tag = d.u8()?;
     let record = if tag == 0 {
         let kind = LogKind::from_u8(d.u8()?).ok_or(RecordError::BadValue { field: "kind" })?;

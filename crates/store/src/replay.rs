@@ -1,4 +1,6 @@
-//! Replaying a persisted event log back into a live node runtime.
+//! Replaying a persisted log back into a live node runtime: an events
+//! log verbatim ([`replay_into`]), a journal through the simulation
+//! spine ([`redrive_into`]).
 //!
 //! An [`LogKind::Events`](crate::LogKind::Events) log holds the exact
 //! stream the batch engine consumed, in pop order — including the
@@ -15,10 +17,16 @@
 //! [`into_report`](dosn_node::NodeRuntime::into_report) reproduces the
 //! batch [`SystemReport`](dosn_node::SystemReport) byte-identically —
 //! the same contract `tests/store_equivalence.rs` pins.
+//!
+//! A [`LogKind::Journal`](crate::LogKind::Journal) log holds only the
+//! requests a daemon applied. Re-driving it is the live path itself:
+//! each record goes through [`SimRun::step`], which regenerates the
+//! session and delivery events in between — so a recovered run resumes
+//! in precisely the state the interrupted one had.
 
 use std::path::Path;
 
-use dosn_node::{EventQueue, NodeRuntime};
+use dosn_node::{EventQueue, NodeRuntime, SimRun};
 
 use crate::reader::{read_header, scan_with, ScannedLog};
 use crate::{LogKind, StoreError};
@@ -46,4 +54,36 @@ pub fn replay_into(dir: &Path, runtime: &mut NodeRuntime<'_>) -> Result<ScannedL
     scan_with(dir, |_, rec| {
         runtime.handle(rec.scheduled(), &mut scratch);
     })
+}
+
+/// Re-drives a journal through `run`, stepping every recorded request
+/// in logged order. Any torn tail is skipped, not truncated.
+///
+/// The run must be freshly started over the inputs the journaled
+/// session realized; the log's header carries the spec they come from.
+///
+/// # Errors
+///
+/// [`StoreError::WrongKind`] for an events log, any scan error, or
+/// [`StoreError::Corrupt`] at the first record whose key does not order
+/// after its predecessor's — a journal only ever holds a strictly
+/// increasing request stream, and the run is not stepped past it.
+pub fn redrive_into(dir: &Path, run: &mut SimRun<'_>) -> Result<ScannedLog, StoreError> {
+    let (kind, _) = read_header(dir)?;
+    if kind != LogKind::Journal {
+        return Err(StoreError::WrongKind { expected: LogKind::Journal, found: kind });
+    }
+    let mut refused: Option<StoreError> = None;
+    let scanned = scan_with(dir, |pos, rec| {
+        if refused.is_some() {
+            return;
+        }
+        if let Err(e) = run.step(rec.scheduled()) {
+            refused = Some(StoreError::Corrupt { pos, detail: e.to_string() });
+        }
+    })?;
+    match refused {
+        Some(e) => Err(e),
+        None => Ok(scanned),
+    }
 }

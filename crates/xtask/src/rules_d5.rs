@@ -13,15 +13,20 @@ use crate::rules::{Violation, WorkspaceFile};
 /// Files on the live serving path, held to the panic-free standard.
 /// The store crate journals live daemon sessions, so everything except
 /// its const-fn CRC table (whose bare indexing is compile-time-bounded
-/// table construction) serves under the same gate.
-pub const D5_SERVING_FILES: [&str; 15] = [
+/// table construction) serves under the same gate; so do the LE
+/// primitives both formats decode hostile bytes with, and the protocol
+/// file, whose `Request::to_event` validates every keyed request.
+pub const D5_SERVING_FILES: [&str; 18] = [
+    "crates/interval/src/le.rs",
     "crates/daemon/src/codec.rs",
+    "crates/daemon/src/protocol.rs",
     "crates/daemon/src/session.rs",
     "crates/daemon/src/server.rs",
     "crates/daemon/src/client.rs",
     "crates/daemon/src/shutdown.rs",
     "crates/node/src/events.rs",
     "crates/node/src/engine.rs",
+    "crates/node/src/run.rs",
     "crates/node/src/state.rs",
     "crates/store/src/lib.rs",
     "crates/store/src/record.rs",

@@ -14,10 +14,7 @@
 use std::path::PathBuf;
 
 use dosn::core::{ModelKind, PolicyKind};
-use dosn::node::{
-    model_schedules, place_replicas, DisseminationMode, InstantTransport, NodeRuntime,
-    SystemSim,
-};
+use dosn::node::{DisseminationMode, SystemSim};
 use dosn_daemon::{
     drive, drive_prefix, encode_spec, DatasetFamily, Server, ServerConfig, ShutdownFlag,
     SimSpec,
@@ -92,23 +89,8 @@ fn captured_event_log_replays_to_the_identical_report() {
         assert!(stats.records > 0, "spec {i}: the log captured nothing");
 
         // Replay: a fresh runtime fed purely from disk.
-        let config = spec.study_config();
-        let schedules = model_schedules(&ds, spec.model, &config);
-        let placements = place_replicas(
-            &ds,
-            &schedules,
-            spec.policy,
-            spec.replication_degree as usize,
-            &config,
-        );
-        let transport = InstantTransport;
-        let mut runtime = NodeRuntime::new(
-            &schedules,
-            &placements,
-            ds.activities(),
-            &transport,
-            spec.dissemination,
-        );
+        let realized = spec.realize(&ds);
+        let mut runtime = realized.runtime();
         let scanned = replay_into(&dir, &mut runtime).expect("replay succeeds");
         assert_eq!(scanned.records, stats.records, "spec {i}: record count drifted");
         assert_eq!(scanned.tail, TailState::Clean, "spec {i}: tail not clean");
