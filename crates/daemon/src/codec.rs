@@ -401,7 +401,39 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 // ---------------------------------------------------------------------
 // Frame I/O
 
-/// Writes one length-prefixed frame.
+/// Capacity of a [`FrameReader`]'s buffer: the largest legal frame with
+/// its header fits several times over, so a partial frame always has
+/// room behind it and the buffer never grows.
+const READ_BUFFER_BYTES: usize = 64 * 1024;
+
+const _: () = assert!(READ_BUFFER_BYTES >= MAX_FRAME_BYTES + 4);
+
+/// The payload length a frame header announces.
+fn frame_len(header: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(header) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(WireError::Oversized { announced: len as u64 });
+    }
+    Ok(len)
+}
+
+/// Appends one length-prefixed frame to `out`: the one place a frame is
+/// built, whether it goes out alone or behind a batch of others.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] for a payload over [`MAX_FRAME_BYTES`]
+/// (the encoder never produces one); `out` is then left unchanged.
+pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), WireError> {
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(WireError::Oversized { announced: payload.len() as u64 });
+    }
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Writes one length-prefixed frame with a single write.
 ///
 /// # Errors
 ///
@@ -410,16 +442,16 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 /// produces one, so hitting this is a caller bug, reported not
 /// panicked).
 pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized { announced: payload.len() as u64 }.into());
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(payload.len() + 4);
+    frame_into(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` is a clean EOF at a
-/// frame boundary.
+/// frame boundary. It reads no byte past the frame, so a caller that
+/// takes one frame at a time loses nothing; a server draining a stream
+/// uses a [`FrameReader`] instead.
 ///
 /// # Errors
 ///
@@ -431,11 +463,7 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
         ReadOutcome::Eof => return Ok(None),
         ReadOutcome::Filled => {}
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized { announced: len as u64 }.into());
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(header)?];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
 }
@@ -460,6 +488,90 @@ fn read_exact_or_eof(r: &mut dyn Read, buf: &mut [u8]) -> io::Result<ReadOutcome
         }
     }
     Ok(ReadOutcome::Filled)
+}
+
+/// Cuts a byte stream into frames: one owned buffer that each
+/// [`fill`](FrameReader::fill) tops up with whatever a single `read`
+/// delivers, and from which [`next_frame`](FrameReader::next_frame)
+/// then slices every complete frame without copying. A client that
+/// pipelines its requests thus costs the server one `read` per batch of
+/// frames rather than two per frame.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Box<[u8]>,
+    /// First byte not yet cut into a frame.
+    start: usize,
+    /// One past the last byte read.
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader::new()
+    }
+}
+
+impl FrameReader {
+    /// An empty reader with a 64 KiB buffer.
+    pub fn new() -> FrameReader {
+        FrameReader { buf: vec![0u8; READ_BUFFER_BYTES].into_boxed_slice(), start: 0, end: 0 }
+    }
+
+    /// Reads once from `r` into the free end of the buffer, first moving
+    /// any partial frame to the front. Call it only once
+    /// [`next_frame`](FrameReader::next_frame) has returned `Ok(None)`,
+    /// so every byte still buffered belongs to one unfinished frame.
+    ///
+    /// Returns `Ok(true)` when bytes arrived and `Ok(false)` on a clean
+    /// close: EOF with nothing buffered, at a frame boundary.
+    ///
+    /// # Errors
+    ///
+    /// The reader's errors pass through unchanged (so a caller can treat
+    /// a read timeout as a poll point and fill again); EOF inside a frame
+    /// is `UnexpectedEof`; a buffer left full of complete frames, which
+    /// the calling rule above excludes, is `InvalidInput`.
+    pub fn fill(&mut self, r: &mut dyn Read) -> io::Result<bool> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let spare = match self.buf.get_mut(self.end..) {
+            Some(spare) if !spare.is_empty() => spare,
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "frame buffer full: cut the buffered frames before filling",
+                ))
+            }
+        };
+        match r.read(spare)? {
+            0 if self.end == 0 => Ok(false),
+            0 => Err(io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                self.end += n;
+                Ok(true)
+            }
+        }
+    }
+
+    /// Cuts the next complete frame out of the buffer and returns its
+    /// payload; `Ok(None)` when the buffered bytes hold no complete frame.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversized`] as soon as a header announcing more than
+    /// [`MAX_FRAME_BYTES`] is buffered, before any of its payload is
+    /// waited for. Framing is lost from there on, so the stream is done.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let Some(buffered) = self.buf.get(self.start..self.end) else { return Ok(None) };
+        let Some(&header) = buffered.first_chunk::<4>() else { return Ok(None) };
+        let len = frame_len(header)?;
+        let Some(payload) = buffered.get(4..4 + len) else { return Ok(None) };
+        self.start += 4 + len;
+        Ok(Some(payload))
+    }
 }
 
 #[cfg(test)]
@@ -632,5 +744,144 @@ mod tests {
         let mut cursor = &partial[..];
         let err = read_frame(&mut cursor).expect_err("truncated frame");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A `Read` that hands out `bytes` in chunks of the given sizes, in
+    /// turn and cycling, then reports EOF.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        sizes: Vec<usize>,
+        turn: usize,
+    }
+
+    impl<'a> Chunked<'a> {
+        fn new(bytes: &'a [u8], sizes: &[usize]) -> Self {
+            Chunked { bytes, sizes: sizes.iter().map(|&k| k.max(1)).collect(), turn: 0 }
+        }
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.turn % self.sizes.len()];
+            self.turn += 1;
+            let n = size.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every frame a reader cuts from `src` until a clean close.
+    fn drain(src: &mut dyn Read) -> io::Result<Vec<Vec<u8>>> {
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        loop {
+            while let Some(payload) = reader.next_frame()? {
+                frames.push(payload.to_vec());
+            }
+            if !reader.fill(src)? {
+                return Ok(frames);
+            }
+        }
+    }
+
+    fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for p in payloads {
+            frame_into(&mut wire, p).expect("payload fits a frame");
+        }
+        wire
+    }
+
+    #[test]
+    fn write_frame_is_frame_into() {
+        let payload = encode_request(&Request::Ping);
+        let mut written = Vec::new();
+        write_frame(&mut written, &payload).expect("in-memory write");
+        let mut built = Vec::new();
+        frame_into(&mut built, &payload).expect("small payload");
+        assert_eq!(written, built);
+        let big = vec![0u8; MAX_FRAME_BYTES + 1];
+        assert!(frame_into(&mut built, &big).is_err());
+        assert_eq!(written, built, "a refused payload leaves the buffer alone");
+    }
+
+    #[test]
+    fn frame_reader_yields_the_same_frames_at_every_split_point() {
+        let payloads: Vec<Vec<u8>> = every_request().iter().map(encode_request).collect();
+        let wire = framed(&payloads);
+        for split in 1..wire.len() {
+            let mut src = Chunked::new(&wire, &[split, wire.len()]);
+            assert_eq!(drain(&mut src).expect("well-formed stream"), payloads, "split {split}");
+        }
+        let mut trickle = Chunked::new(&wire, &[1]);
+        assert_eq!(drain(&mut trickle).expect("one byte a read"), payloads);
+    }
+
+    #[test]
+    fn frame_reader_fits_maximal_frames() {
+        let payloads = vec![vec![7u8; MAX_FRAME_BYTES], vec![], vec![9u8; MAX_FRAME_BYTES]];
+        let wire = framed(&payloads);
+        for size in [1_000, 7_000, MAX_FRAME_BYTES + 4, READ_BUFFER_BYTES] {
+            let mut src = Chunked::new(&wire, &[size]);
+            assert_eq!(drain(&mut src).expect("legal frames"), payloads, "chunks of {size}");
+        }
+    }
+
+    #[test]
+    fn frame_reader_rejects_an_oversized_header_before_its_payload() {
+        /// Delivers a header, then fails any further read.
+        struct HeaderOnly(Option<[u8; 4]>);
+        impl Read for HeaderOnly {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let header = self.0.take().ok_or_else(|| io::Error::other("payload read"))?;
+                buf[..4].copy_from_slice(&header);
+                Ok(4)
+            }
+        }
+        let announced = MAX_FRAME_BYTES as u32 + 1;
+        let mut src = HeaderOnly(Some(announced.to_le_bytes()));
+        let mut reader = FrameReader::new();
+        assert!(reader.fill(&mut src).expect("header arrives"));
+        assert_eq!(
+            reader.next_frame(),
+            Err(WireError::Oversized { announced: u64::from(announced) })
+        );
+    }
+
+    #[test]
+    fn frame_reader_reports_eof_inside_a_frame() {
+        let wire = framed(&[encode_request(&Request::Ping), encode_request(&Request::Finish)]);
+        // Every cut short of a boundary: mid-header (first frame or second)
+        // and mid-payload.
+        let boundaries = [0, 5, wire.len()];
+        for cut in (1..wire.len()).filter(|c| !boundaries.contains(c)) {
+            let mut src = Chunked::new(&wire[..cut], &[3]);
+            let err = drain(&mut src).expect_err("truncated stream");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn frame_reader_closes_cleanly_at_a_boundary() {
+        let mut reader = FrameReader::new();
+        assert!(!reader.fill(&mut io::empty()).expect("EOF before any byte is clean"));
+        let wire = framed(&[encode_request(&Request::Ping)]);
+        assert_eq!(drain(&mut &wire[..]).expect("clean close").len(), 1);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn frame_reader_is_blind_to_how_reads_are_chunked(
+            payloads in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+                0..12,
+            ),
+            sizes in proptest::collection::vec(1usize..120, 1..8),
+        ) {
+            let wire = framed(&payloads);
+            let mut src = Chunked::new(&wire, &sizes);
+            proptest::prop_assert_eq!(drain(&mut src).expect("well-formed stream"), payloads);
+        }
     }
 }

@@ -27,7 +27,8 @@
 //!
 //! The simulation core stays synchronous and daemon-free: this crate
 //! only steps the same [`dosn_node::SimRun`] the batch facade steps,
-//! one request at a time.
+//! one request after another, in the batches the socket delivers: one
+//! read, one journal flush and one reply write per batch.
 //!
 //! With a store directory configured ([`ServerConfig::store`]), each
 //! opened session journals its validated requests write-ahead into a

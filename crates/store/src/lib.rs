@@ -18,7 +18,8 @@
 //!   reproduces the batch [`SystemReport`](dosn_node::SystemReport)
 //!   byte-identically.
 //! * [`LogKind::Journal`] — the validated `Post`/`Read` requests a
-//!   serving daemon applied, flushed before each apply (write-ahead).
+//!   serving daemon applied, flushed once per drained batch, before any
+//!   of it is stepped or acked (write-ahead).
 //!   On restart the daemon re-drives the journal through the same
 //!   `step` the live path uses ([`redrive_into`]) and resumes serving
 //!   exactly where it stopped.

@@ -6,21 +6,24 @@
 //! * [`LogKind::Events`] — batch capture. Writes are buffered and
 //!   flushed at segment rolls and [`LogWriter::finish`]; throughput is
 //!   the priority, the batch run can simply be repeated after a crash.
-//! * [`LogKind::Journal`] — write-ahead. Every append flushes before
-//!   returning, so a record is on its way to disk before the daemon
-//!   applies the request it journals. A crash loses at most the torn
-//!   tail frame the next [`LogWriter::resume`] drops.
+//! * [`LogKind::Journal`] — write-ahead. Each append — one record, or
+//!   the batch of requests a daemon session drained from its socket —
+//!   flushes once before returning, so a batch is on its way to disk
+//!   before the daemon steps or acks any of it. A crash loses at most
+//!   the torn tail frame the next [`LogWriter::resume`] drops.
 //!
-//! The writer also carries the store's [`dosn_node::EventSink`]
-//! implementation, which is how the batch engine journals a run without
-//! the node crate knowing the store exists. The sink is infallible by
-//! contract, so the writer latches the first I/O error and surfaces it
-//! from [`LogWriter::finish`] — a failed capture is reported, never
-//! silently partial.
+//! A failed append latches: the writer refuses every later append and
+//! [`LogWriter::finish`] returns the first error: records appended
+//! behind a torn frame would be dropped with it on recovery, or read as
+//! corruption once its segment is sealed. The writer also carries
+//! the store's [`dosn_node::EventSink`] implementation, which is how the
+//! batch engine journals a run without the node crate knowing the store
+//! exists; the sink is infallible by contract, and the latch is how a
+//! failed capture is reported, never silently partial.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use dosn_node::{EventSink, ScheduledEvent};
@@ -54,8 +57,6 @@ pub struct LogWriter {
     dir: PathBuf,
     file: BufWriter<File>,
     kind: LogKind,
-    /// Flush after every append (journal write-ahead semantics).
-    durable: bool,
     /// Number of the segment currently being written.
     segment: u64,
     /// Global byte position of the current segment's first byte.
@@ -90,7 +91,6 @@ impl LogWriter {
             dir: dir.to_path_buf(),
             file: BufWriter::new(file),
             kind,
-            durable: matches!(kind, LogKind::Journal),
             segment: 0,
             segment_base: 0,
             segment_len: 0,
@@ -140,7 +140,6 @@ impl LogWriter {
             dir: dir.to_path_buf(),
             file: BufWriter::new(file),
             kind: scanned.kind,
-            durable: matches!(scanned.kind, LogKind::Journal),
             segment: last_segment,
             segment_base: scanned.clean_bytes - scanned.last_segment_bytes,
             segment_len: scanned.last_segment_bytes,
@@ -184,46 +183,82 @@ impl LogWriter {
     }
 
     /// Appends one event to the log, extending `chain`'s per-user
-    /// chain. Journal logs flush before returning (write-ahead).
+    /// chain: the one-record case of [`LogWriter::append_batch`]. Journal
+    /// logs flush before returning (write-ahead).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] — the log's valid prefix is unaffected; the
-    /// failed frame is at worst a torn tail the next resume drops.
+    /// As [`LogWriter::append_batch`].
     pub fn append(&mut self, ev: &ScheduledEvent, chain: UserId) -> Result<(), StoreError> {
-        if self.segment_len >= SEGMENT_TARGET_BYTES {
-            self.roll()?;
+        self.append_batch([(ev, chain)])
+    }
+
+    /// Appends a batch of events in order, each extending its chain, and
+    /// — for a journal — flushes once, after the last, before returning.
+    /// The segment bytes are exactly those of one [`LogWriter::append`]
+    /// per event; only the flushes differ.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`]. The log's valid prefix is unaffected — the
+    /// failed frame is at worst a torn tail the next resume drops — but
+    /// how much of the batch reached the file is unknown, so the failure
+    /// latches: every later append returns it and [`LogWriter::finish`]
+    /// surfaces it.
+    pub fn append_batch<'e>(
+        &mut self,
+        events: impl IntoIterator<Item = (&'e ScheduledEvent, UserId)>,
+    ) -> Result<(), StoreError> {
+        if let Some(first) = &self.failed {
+            return Err(echo(first));
         }
-        let pos = self.segment_base + self.segment_len;
-        let chain = chain.as_u32();
-        let prev = self.heads.get(&chain).copied().unwrap_or(NO_PREV);
-        let record = Record::Event(EventRecord {
-            at_secs: ev.at.as_secs(),
-            seq: ev.seq(),
-            chain,
-            prev,
-            event: ev.event,
-        });
-        self.scratch.clear();
-        let payload = encode_record(&record);
-        append_frame(&mut self.scratch, &payload);
-        self.file.write_all(&self.scratch)?;
-        if self.durable {
-            self.file.flush()?;
+        if let Err(e) = self.write_batch(events) {
+            let echoed = echo(&e);
+            self.failed = Some(e);
+            return Err(echoed);
         }
-        self.segment_len += self.scratch.len() as u64;
-        self.heads.insert(chain, pos);
-        self.records += 1;
         Ok(())
     }
 
-    /// Seals the log: surfaces any latched sink failure, flushes and
+    fn write_batch<'e>(
+        &mut self,
+        events: impl IntoIterator<Item = (&'e ScheduledEvent, UserId)>,
+    ) -> Result<(), StoreError> {
+        for (ev, chain) in events {
+            if self.segment_len >= SEGMENT_TARGET_BYTES {
+                self.roll()?;
+            }
+            let pos = self.segment_base + self.segment_len;
+            let chain = chain.as_u32();
+            let prev = self.heads.get(&chain).copied().unwrap_or(NO_PREV);
+            let record = Record::Event(EventRecord {
+                at_secs: ev.at.as_secs(),
+                seq: ev.seq(),
+                chain,
+                prev,
+                event: ev.event,
+            });
+            self.scratch.clear();
+            append_frame(&mut self.scratch, &encode_record(&record));
+            self.file.write_all(&self.scratch)?;
+            self.segment_len += self.scratch.len() as u64;
+            self.heads.insert(chain, pos);
+            self.records += 1;
+        }
+        if self.kind == LogKind::Journal {
+            self.file.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Seals the log: surfaces any latched append failure, flushes and
     /// syncs the current segment, and writes the advisory index.
     ///
     /// # Errors
     ///
-    /// The latched failure from an earlier [`EventSink::record`] call,
-    /// or [`StoreError::Io`] from the final flush.
+    /// The latched failure from an earlier append (or
+    /// [`EventSink::record`] call), or [`StoreError::Io`] from the final
+    /// flush.
     pub fn finish(mut self) -> Result<StoreStats, StoreError> {
         if let Some(err) = self.failed.take() {
             return Err(err);
@@ -247,16 +282,20 @@ impl LogWriter {
 }
 
 impl EventSink for LogWriter {
-    /// Journals one engine event. The sink contract is infallible, so
-    /// an I/O failure is latched — subsequent events are skipped and
+    /// Journals one engine event. The sink contract is infallible; a
+    /// failed append latches, so subsequent events are skipped and
     /// [`LogWriter::finish`] returns the error.
     fn record(&mut self, ev: &ScheduledEvent, chain: UserId) {
-        if self.failed.is_some() {
-            return;
-        }
-        if let Err(e) = self.append(ev, chain) {
-            self.failed = Some(e);
-        }
+        let _latched = self.append(ev, chain);
+    }
+}
+
+/// A copy of a latched failure for a caller to hold while the writer
+/// keeps the original (`io::Error` is not `Clone`).
+fn echo(e: &StoreError) -> StoreError {
+    match e {
+        StoreError::Io(io) => StoreError::Io(io::Error::new(io.kind(), io.to_string())),
+        other => StoreError::Io(io::Error::other(other.to_string())),
     }
 }
 
@@ -366,5 +405,85 @@ mod tests {
         assert_eq!(rescanned.records, 3);
         w.append(&post(4, 3), UserId::new(2)).expect("append");
         assert_eq!(w.finish().expect("finish").records, 4);
+    }
+
+    /// Events across a few chains, as a daemon session would batch them.
+    fn events(n: u64) -> Vec<(ScheduledEvent, UserId)> {
+        (0..n).map(|seq| (post(5_000 + seq, seq), UserId::new((seq % 4) as u32))).collect()
+    }
+
+    #[test]
+    fn a_batch_append_writes_the_bytes_of_single_appends() {
+        let events = events(40);
+        let single = tmp_dir("single");
+        let mut w = LogWriter::create(&single, LogKind::Journal, b"spec").expect("create");
+        for (ev, chain) in &events {
+            w.append(ev, *chain).expect("append");
+        }
+        let single_stats = w.finish().expect("finish");
+        let batched = tmp_dir("batched");
+        let mut w = LogWriter::create(&batched, LogKind::Journal, b"spec").expect("create");
+        // Uneven batches, including an empty one.
+        for batch in [&events[..1], &events[1..1], &events[1..17], &events[17..]] {
+            w.append_batch(batch.iter().map(|(ev, chain)| (ev, *chain))).expect("append batch");
+        }
+        assert_eq!(w.finish().expect("finish"), single_stats);
+        let seg = segment_file_name(0);
+        assert_eq!(
+            std::fs::read(batched.join(&seg)).expect("read batched"),
+            std::fs::read(single.join(&seg)).expect("read single"),
+        );
+    }
+
+    #[test]
+    fn a_batch_log_cut_at_every_byte_keeps_the_longest_valid_prefix() {
+        let dir = tmp_dir("batch-cuts");
+        let mut w = LogWriter::create(&dir, LogKind::Journal, &[]).expect("create");
+        let events = events(6);
+        w.append_batch(events.iter().map(|(ev, chain)| (ev, *chain))).expect("append batch");
+        w.finish().expect("finish");
+        let mut boundaries = vec![];
+        let scanned = crate::scan_with(&dir, |pos, _| boundaries.push(pos)).expect("scan");
+        boundaries.push(scanned.clean_bytes);
+        let seg = dir.join(segment_file_name(0));
+        let pristine = std::fs::read(&seg).expect("read log");
+        for cut in boundaries[0]..=scanned.clean_bytes {
+            std::fs::write(&seg, &pristine[..cut as usize]).expect("truncate");
+            let scanned = scan(&dir).expect("a cut log stays readable");
+            // `boundaries` holds each record's start plus the end; a
+            // record survives when the next boundary fits inside the cut.
+            let intact = boundaries.iter().skip(1).filter(|&&end| end <= cut).count() as u64;
+            assert_eq!(scanned.records, intact, "cut at {cut}");
+            let on_boundary = boundaries.contains(&cut);
+            assert_eq!(scanned.tail == TailState::Clean, on_boundary, "cut at {cut}");
+        }
+        // Tear the last frame: resume drops it, and appending continues
+        // from there.
+        std::fs::write(&seg, &pristine[..pristine.len() - 1]).expect("tear");
+        let (mut w, recovered) = LogWriter::resume(&dir).expect("resume");
+        assert_eq!(recovered.records, 5);
+        let (ev, chain) = &events[5];
+        w.append_batch([(ev, *chain)]).expect("re-append the lost record");
+        assert_eq!(w.finish().expect("finish").records, 6);
+        assert_eq!(std::fs::read(&seg).expect("reread"), pristine);
+    }
+
+    #[test]
+    fn a_failed_append_latches_until_finish_reports_it() {
+        let dir = tmp_dir("latch");
+        let mut w = LogWriter::create(&dir, LogKind::Journal, &[]).expect("create");
+        let events = events(3);
+        w.append(&events[0].0, events[0].1).expect("first append");
+        // The next append must roll, and the next segment's file is taken.
+        w.segment_len = SEGMENT_TARGET_BYTES;
+        std::fs::write(dir.join(segment_file_name(1)), b"squatter").expect("squat");
+        let batch = || events[1..].iter().map(|(ev, chain)| (ev, *chain));
+        assert!(matches!(w.append_batch(batch()), Err(StoreError::Io(_))));
+        assert_eq!(w.records(), 1, "nothing of the failed batch was counted");
+        // Latched: the file is free again, but appends stay refused.
+        std::fs::remove_file(dir.join(segment_file_name(1))).expect("unsquat");
+        assert!(w.append(&events[2].0, events[2].1).is_err());
+        assert!(w.failure().is_some());
+        assert!(matches!(w.finish(), Err(StoreError::Io(_))));
     }
 }
